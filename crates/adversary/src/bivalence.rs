@@ -10,7 +10,7 @@ use std::hash::Hash;
 use slx_consensus::{ConsWord, ObstructionFreeConsensus, OfNormalizedState};
 use slx_engine::{Checker, DeltaCodec};
 use slx_explorer::decidable_values_with;
-use slx_history::{History, ProcessId, Value};
+use slx_history::{Action, History, ProcessId, Value};
 use slx_memory::{Decision, Process, Scheduler, StepEffect, System, Word};
 
 /// Report of a [`run_bivalence_adversary`] run.
@@ -161,6 +161,10 @@ where
 /// Its decisions depend on its step counters only through their relative
 /// order, so [`BivalenceScheduler::normalized_counts`] (counters rebased
 /// to their minimum) is the right cycle-detection key component.
+///
+/// One scheduler drives one system: it keeps a cursor into that system's
+/// append-only history and reads only the actions appended since its
+/// previous consultation.
 #[derive(Debug, Clone)]
 pub struct BivalenceScheduler {
     proposals: Vec<(ProcessId, Value)>,
@@ -168,6 +172,10 @@ pub struct BivalenceScheduler {
     step_counts: Vec<u64>,
     checker: Checker,
     valence_budget: usize,
+    /// How many history actions earlier consultations have read.
+    seen: usize,
+    /// Whether an active process has responded (decided) so far.
+    decided: bool,
 }
 
 impl BivalenceScheduler {
@@ -185,6 +193,8 @@ impl BivalenceScheduler {
             active,
             checker: Checker::auto(),
             valence_budget,
+            seen: 0,
+            decided: false,
         }
     }
 
@@ -224,12 +234,15 @@ where
     P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
 {
     fn decide(&mut self, sys: &System<W, P>) -> Decision {
-        // The adversary lost the moment anyone decided.
-        if self
-            .active
+        // The adversary lost the moment anyone decided. Only the actions
+        // appended since the last consultation need reading.
+        let actions = sys.history().actions();
+        let active = &self.active;
+        self.decided |= actions[self.seen..]
             .iter()
-            .any(|&p| !sys.history().responses_of(p).is_empty())
-        {
+            .any(|a| matches!(a, Action::Respond { proc, .. } if active.contains(proc)));
+        self.seen = actions.len();
+        if self.decided {
             return Decision::Halt;
         }
         // Issue outstanding proposals first (processes here never respond,

@@ -75,11 +75,7 @@ impl TripleRoundAdversary {
         for (i, &q) in self.procs.iter().enumerate() {
             let waiting = matches!(self.stages[i], Stage::StartPending | Stage::TryCPending);
             if waiting && !sys.is_pending(q) {
-                let resp = *sys
-                    .history()
-                    .responses_of(q)
-                    .last()
-                    .expect("response arrived");
+                let resp = sys.history().last_response_of(q).expect("response arrived");
                 self.stages[i] = match (self.stages[i], resp) {
                     (Stage::StartPending, Response::Aborted) => Stage::StartedAborted,
                     (Stage::StartPending, _) => Stage::StartedOk,

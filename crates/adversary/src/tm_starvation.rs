@@ -189,10 +189,9 @@ impl<P: Process<TmWord>> Scheduler<TmWord, P> for TmStarvation {
                 return Decision::Step(who);
             }
             // The awaited response arrived: transition.
-            let resp = *sys
+            let resp = sys
                 .history()
-                .responses_of(who)
-                .last()
+                .last_response_of(who)
                 .expect("response arrived");
             self.waiting = false;
             self.transition(resp);

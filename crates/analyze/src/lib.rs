@@ -22,7 +22,8 @@
 //! the crate builds offline with zero dependencies, which is what lets
 //! CI treat it as a required gate rather than a best-effort extra.
 //!
-//! Scope: non-test code under `crates/*/src/` and `src/`. Integration
+//! Scope: non-test code under `crates/*/src/`, `src/` and the benchmark
+//! package's `perfbench/src/`. Integration
 //! tests, benches, and `#[cfg(test)]` items are exempt (tests pin env
 //! vars and build throwaway maps on purpose), as is this crate itself
 //! (its lint patterns would otherwise flag themselves).
@@ -74,13 +75,14 @@ impl std::fmt::Display for Finding {
 pub struct Workspace {
     /// Checkout root.
     pub root: PathBuf,
-    /// Lexed non-generated sources under `crates/*/src/` and `src/`.
+    /// Lexed non-generated sources under `crates/*/src/`, `src/` and
+    /// `perfbench/src/`.
     pub files: Vec<SourceFile>,
 }
 
 impl Workspace {
-    /// Loads and lexes every `.rs` file under `crates/*/src/` and
-    /// `src/`, skipping the analyzer itself.
+    /// Loads and lexes every `.rs` file under `crates/*/src/`, `src/`
+    /// and `perfbench/src/`, skipping the analyzer itself.
     ///
     /// # Errors
     ///
@@ -104,6 +106,9 @@ impl Workspace {
             }
         }
         collect_rs(&root.join("src"), root, &mut files)?;
+        // The benchmark package lives outside the workspace but links its
+        // library crates; it is read like any other source, never written.
+        collect_rs(&root.join("perfbench").join("src"), root, &mut files)?;
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
         Ok(Workspace {
             root: root.to_path_buf(),

@@ -168,6 +168,31 @@ fn unregistered_slx_literal_fails_the_knob_lint() {
 }
 
 #[test]
+fn benchmark_sources_are_scanned() {
+    // `perfbench/` is a package of its own, outside the workspace, but it
+    // links the library crates and is held to the same lints.
+    let fx = Fixture::new("perfbench");
+    fx.load().bless().expect("bless");
+    fx.write(
+        "perfbench/src/main.rs",
+        "fn threads() -> Option<String> { lookup(\"SLX_ROGUE_KNOB\") }\n",
+    );
+    let ws = fx.load();
+    assert!(
+        ws.files
+            .iter()
+            .any(|f| f.rel_path == "perfbench/src/main.rs"),
+        "perfbench/src is not among the analyzed roots"
+    );
+    let findings = ws.run_all();
+    let hit = findings
+        .iter()
+        .find(|f| f.message.contains("SLX_ROGUE_KNOB"))
+        .unwrap_or_else(|| panic!("expected a knob-registry finding: {findings:?}"));
+    assert_eq!(hit.file, "perfbench/src/main.rs");
+}
+
+#[test]
 fn cli_exits_zero_on_clean_and_one_on_findings() {
     let fx = Fixture::new("cli");
     let bin = env!("CARGO_BIN_EXE_slx-analyze");

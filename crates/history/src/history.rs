@@ -219,6 +219,16 @@ impl History {
             .collect()
     }
 
+    /// The newest response received by `proc`, if any: the last element
+    /// of [`History::responses_of`], found by a reverse scan that stops
+    /// at the first match and allocates nothing.
+    pub fn last_response_of(&self, proc: ProcessId) -> Option<Response> {
+        self.actions.iter().rev().find_map(|a| match a {
+            Action::Respond { proc: q, resp } if *q == proc => Some(*resp),
+            _ => None,
+        })
+    }
+
     /// All operations invoked by `proc`, in order.
     pub fn invocations_of(&self, proc: ProcessId) -> Vec<Operation> {
         self.actions
@@ -381,6 +391,38 @@ mod tests {
             Action::crash(p(0)),
         ]);
         assert!(ok.is_well_formed());
+    }
+
+    #[test]
+    fn last_response_of_matches_responses_of() {
+        let empty = History::new();
+        assert_eq!(empty.last_response_of(p(0)), None);
+
+        let crash_only = History::from_actions([Action::crash(p(0)), Action::crash(p(1))]);
+        assert_eq!(crash_only.last_response_of(p(0)), None);
+        assert_eq!(crash_only.last_response_of(p(1)), None);
+
+        let interleaved = History::from_actions([
+            Action::invoke(p(0), Operation::TxStart),
+            Action::invoke(p(1), Operation::TxStart),
+            Action::respond(p(0), Response::Ok),
+            Action::respond(p(1), Response::Aborted),
+            Action::invoke(p(0), Operation::TxCommit),
+            Action::respond(p(0), Response::Committed),
+            Action::invoke(p(1), Operation::TxStart),
+            Action::crash(p(1)),
+        ]);
+        assert_eq!(
+            interleaved.last_response_of(p(0)),
+            Some(Response::Committed)
+        );
+        assert_eq!(interleaved.last_response_of(p(1)), Some(Response::Aborted));
+        assert_eq!(interleaved.last_response_of(p(2)), None);
+        for h in [&empty, &crash_only, &interleaved] {
+            for q in ProcessId::all(3) {
+                assert_eq!(h.last_response_of(q), h.responses_of(q).last().copied());
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,14 @@ pub enum Decision {
 ///
 /// Adversaries (Definition 4.3) are schedulers that additionally choose
 /// invocations; they implement this same trait in `slx-adversary`.
+///
+/// Cost contract: a scheduler drives one system, whose history is
+/// append-only, and [`Scheduler::decide`] costs amortized O(actions
+/// appended since the previous call) plus O(n) — never a rescan of the
+/// whole history, which would make a run quadratic in its length.
+/// Schedulers that need past responses keep a cursor into
+/// [`History::actions`](slx_history::History::actions) or use
+/// [`History::last_response_of`](slx_history::History::last_response_of).
 pub trait Scheduler<W: Word, P: Process<W>> {
     /// Chooses the next event given the current system.
     fn decide(&mut self, sys: &System<W, P>) -> Decision;
@@ -121,20 +129,31 @@ impl FairRandom {
 
 impl<W: Word, P: Process<W>> Scheduler<W, P> for FairRandom {
     fn decide(&mut self, sys: &System<W, P>) -> Decision {
-        let candidates: Vec<ProcessId> = if self.active.is_empty() {
-            sys.steppable()
+        // Count the steppable candidates, draw an index, and walk to it,
+        // without allocating a candidate list per event.
+        let pool = if self.active.is_empty() {
+            sys.n()
         } else {
-            self.active
-                .iter()
-                .copied()
-                .filter(|&p| sys.can_step(p))
-                .collect()
+            self.active.len()
         };
-        if candidates.is_empty() {
+        let active = &self.active;
+        let candidates = || {
+            (0..pool)
+                .map(|k| {
+                    if active.is_empty() {
+                        ProcessId::new(k)
+                    } else {
+                        active[k]
+                    }
+                })
+                .filter(|&p| sys.can_step(p))
+        };
+        let count = candidates().count();
+        if count == 0 {
             return Decision::Halt;
         }
-        let idx = self.rng.gen_index(candidates.len());
-        Decision::Step(candidates[idx])
+        let idx = self.rng.gen_index(count);
+        Decision::Step(candidates().nth(idx).expect("idx < count"))
     }
 }
 

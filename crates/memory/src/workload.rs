@@ -1,6 +1,6 @@
 //! Workloads: sources of invocations for closed-loop clients.
 
-use slx_history::{Operation, ProcessId, Response, Value, VarId};
+use slx_history::{Action, Operation, ProcessId, Response, Value, VarId};
 
 use crate::base::Word;
 use crate::process::Process;
@@ -133,12 +133,18 @@ impl Workload for RepeatTxn {
 /// Combines a [`Workload`] with an inner step [`Scheduler`]: idle processes
 /// are fed their next invocation; otherwise the inner scheduler picks who
 /// steps.
+///
+/// One scheduler drives one system: it keeps a cursor into that system's
+/// append-only history and reads only the actions appended since its
+/// previous consultation, so [`Scheduler::decide`] costs amortized
+/// O(actions since the last call), independent of the history's length.
 #[derive(Debug, Clone)]
 pub struct WorkloadScheduler<L, S> {
     workload: L,
     inner: S,
     last_resp: Vec<Option<Response>>,
-    responses_seen: Vec<usize>,
+    /// How many history actions earlier consultations have read.
+    seen: usize,
     done: Vec<bool>,
 }
 
@@ -149,7 +155,7 @@ impl<L: Workload, S> WorkloadScheduler<L, S> {
             workload,
             inner,
             last_resp: vec![None; n],
-            responses_seen: vec![0; n],
+            seen: 0,
             done: vec![false; n],
         }
     }
@@ -168,14 +174,17 @@ where
     S: Scheduler<W, P>,
 {
     fn decide(&mut self, sys: &System<W, P>) -> Decision {
-        // Track the newest response of each process from the history.
-        for p in ProcessId::all(sys.n()) {
-            let resps = sys.history().responses_of(p);
-            if resps.len() > self.responses_seen[p.index()] {
-                self.responses_seen[p.index()] = resps.len();
-                self.last_resp[p.index()] = resps.last().copied();
+        // Fold in the responses appended since the last consultation: the
+        // newest response of each process wins.
+        let actions = sys.history().actions();
+        for action in &actions[self.seen..] {
+            if let Action::Respond { proc, resp } = *action {
+                if proc.index() < sys.n() {
+                    self.last_resp[proc.index()] = Some(resp);
+                }
             }
         }
+        self.seen = actions.len();
         for p in ProcessId::all(sys.n()) {
             let i = p.index();
             if self.done[i] || sys.is_pending(p) || sys.is_crashed(p) {

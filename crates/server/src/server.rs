@@ -15,8 +15,12 @@
 //!   frame), and queued; `Cancel` flips the request's cancel flag. Idle
 //!   timeout ticks re-send each in-flight request's freshest progress
 //!   frame as a heartbeat, so a client waiting out a slow level still
-//!   observes liveness. Client hangup cancels everything the connection
-//!   submitted — a disconnected client's runs stop at their next level
+//!   observes liveness. A worker retires its request from the
+//!   connection's in-flight map before writing the terminal frame, under
+//!   the connection's writer lock, so no heartbeat follows a terminal
+//!   frame and a long-lived connection holds only its live requests.
+//!   Client hangup cancels everything the connection still has in
+//!   flight — a disconnected client's runs stop at their next level
 //!   boundary (their checkpoints survive, so reconnecting and
 //!   resubmitting resumes them);
 //! - a bounded pool of **worker threads** drains a FIFO queue. Each
@@ -101,15 +105,48 @@ impl ServerConfig {
     }
 }
 
+/// One submitted request's state, shared by its connection thread and
+/// the worker that runs it.
+#[derive(Default)]
+struct RequestSlot {
+    /// Set by an explicit `Cancel` or by the connection's hangup; the
+    /// run observes it at its next level boundary.
+    cancel: AtomicBool,
+    /// The freshest progress frame the run has produced, re-sent by the
+    /// connection thread as an idle-tick heartbeat.
+    last_progress: Mutex<Option<ProgressFrame>>,
+}
+
+/// The requests one connection has queued or running, by id. The
+/// connection thread inserts a slot on submit; the worker removes it
+/// when it retires the request, so the map never outgrows the in-flight
+/// set and idle ticks walk only live runs.
+type Inflight = Arc<Mutex<DetHashMap<String, Arc<RequestSlot>>>>;
+
 /// One queued request: what to run and where to stream results.
 struct Job {
     req: CheckRequest,
     out: Arc<Mutex<Stream>>,
-    cancel: Arc<AtomicBool>,
-    /// The freshest progress frame this run has produced, re-sent by
-    /// the connection thread as an idle-tick heartbeat. Cleared when
-    /// the run reaches its terminal frame.
-    last_progress: Arc<Mutex<Option<ProgressFrame>>>,
+    slot: Arc<RequestSlot>,
+    /// The submitting connection's in-flight map.
+    inflight: Inflight,
+}
+
+impl Job {
+    /// Retires the request and writes its terminal frame. Both happen
+    /// under the writer lock, retirement first, so an idle-tick heartbeat
+    /// (which holds the same lock while it walks the in-flight map) can
+    /// never slip a `Progress` frame in after the terminal one.
+    fn finish(&self, frame: &Frame) {
+        let mut out = self.out.lock().expect("writer lock");
+        self.inflight
+            .lock()
+            .expect("inflight lock")
+            .remove(&self.req.request_id);
+        // A client gone by now loses nothing: the checkpoint directory
+        // is the durable result.
+        let _ = write_frame(&mut *out, frame);
+    }
 }
 
 /// FIFO queue + shutdown flag, shared by connection and worker threads.
@@ -247,7 +284,12 @@ impl CheckServer {
                         std::thread::spawn(move || {
                             // A misbehaving client only poisons its own
                             // connection thread.
-                            let _ = serve_connection(stream, &queue);
+                            let _ = serve_connection(
+                                stream,
+                                &queue,
+                                &Inflight::default(),
+                                READ_TIMEOUT,
+                            );
                         });
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -315,24 +357,22 @@ impl ServerHandle {
 }
 
 /// One client connection: hello exchange, then a read loop dispatching
-/// `Submit`/`Cancel`. Returns on hangup or protocol error, cancelling
-/// everything this connection submitted.
-fn serve_connection(stream: Stream, queue: &Arc<JobQueue>) -> Result<(), WireError> {
+/// `Submit`/`Cancel`, with an idle tick (a read timing out after `tick`)
+/// heartbeating the runs in `inflight`. Returns on hangup or protocol
+/// error, cancelling everything this connection still has in flight.
+fn serve_connection(
+    stream: Stream,
+    queue: &Arc<JobQueue>,
+    inflight: &Inflight,
+    tick: Duration,
+) -> Result<(), WireError> {
     let mut reader = stream;
     let writer = Arc::new(Mutex::new(reader.try_clone()?));
     write_hello(&mut *writer.lock().expect("writer lock"))?;
     read_hello(&mut reader)?;
     // After the hello, bound every read: a silent peer cannot park this
     // thread forever, and the timeout ticks drive the heartbeats below.
-    let _ = reader.set_read_timeout(Some(READ_TIMEOUT));
-
-    // The cancel flags of every request this connection submitted, so
-    // hangup (or an explicit Cancel) can reach the running workers.
-    let mut flags: DetHashMap<String, Arc<AtomicBool>> = DetHashMap::default();
-    // Each submitted request's freshest progress frame, re-sent on idle
-    // ticks so a client waiting out a slow level still sees liveness.
-    let mut heartbeats: DetHashMap<String, Arc<Mutex<Option<ProgressFrame>>>> =
-        DetHashMap::default();
+    let _ = reader.set_read_timeout(Some(tick));
 
     let result = loop {
         match read_frame(&mut reader) {
@@ -367,20 +407,21 @@ fn serve_connection(stream: Stream, queue: &Arc<JobQueue>) -> Result<(), WireErr
                     );
                     continue;
                 }
-                let cancel = Arc::new(AtomicBool::new(false));
-                let last_progress = Arc::new(Mutex::new(None));
-                flags.insert(req.request_id.clone(), Arc::clone(&cancel));
-                heartbeats.insert(req.request_id.clone(), Arc::clone(&last_progress));
+                let slot = Arc::new(RequestSlot::default());
+                inflight
+                    .lock()
+                    .expect("inflight lock")
+                    .insert(req.request_id.clone(), Arc::clone(&slot));
                 queue.push(Job {
                     req,
                     out: Arc::clone(&writer),
-                    cancel,
-                    last_progress,
+                    slot,
+                    inflight: Arc::clone(inflight),
                 });
             }
             Ok(Some(Frame::Cancel { request_id })) => {
-                if let Some(flag) = flags.get(&request_id) {
-                    flag.store(true, Ordering::SeqCst);
+                if let Some(slot) = inflight.lock().expect("inflight lock").get(&request_id) {
+                    slot.cancel.store(true, Ordering::SeqCst);
                 }
             }
             // Server-to-client frames arriving here mean a confused
@@ -399,9 +440,12 @@ fn serve_connection(stream: Stream, queue: &Arc<JobQueue>) -> Result<(), WireErr
             {
                 let mut hung_up = false;
                 {
+                    // Lock order: writer, then the in-flight map — the
+                    // order `Job::finish` retires a request in.
                     let mut w = writer.lock().expect("writer lock");
-                    for hb in heartbeats.values() {
-                        let frame = hb.lock().expect("progress lock").clone();
+                    let live = inflight.lock().expect("inflight lock");
+                    for slot in live.values() {
+                        let frame = slot.last_progress.lock().expect("progress lock").clone();
                         if let Some(p) = frame {
                             if write_frame(&mut *w, &Frame::Progress(p)).is_err() {
                                 hung_up = true;
@@ -419,8 +463,8 @@ fn serve_connection(stream: Stream, queue: &Arc<JobQueue>) -> Result<(), WireErr
     };
     // Hangup (clean or not) cancels this connection's in-flight runs:
     // nobody is listening, and their checkpoints let a resubmit resume.
-    for flag in flags.values() {
-        flag.store(true, Ordering::SeqCst);
+    for slot in inflight.lock().expect("inflight lock").values() {
+        slot.cancel.store(true, Ordering::SeqCst);
     }
     result
 }
@@ -448,23 +492,19 @@ fn request_checker(config: &ServerConfig, req: &CheckRequest, dir: &std::path::P
 fn worker_loop(queue: &Arc<JobQueue>, registry: &ScenarioRegistry, config: &ServerConfig) {
     while let Some(job) = queue.pop() {
         run_job(&job, registry, config);
-        // The terminal frame is written: stop heartbeating this id and
-        // free it for resubmission (which resumes from its checkpoint).
-        *job.last_progress.lock().expect("progress lock") = None;
+        // The request is retired and its terminal frame written: free
+        // the id for resubmission (which resumes from its checkpoint).
         queue.release(&job.req.request_id);
     }
 }
 
-/// Runs one request end to end and writes its terminal frame.
+/// Runs one request end to end, retires it and writes its terminal
+/// frame (every return path goes through [`Job::finish`] exactly once).
 fn run_job(job: &Job, registry: &ScenarioRegistry, config: &ServerConfig) {
     let req = &job.req;
-    let reply = |frame: &Frame| -> bool {
-        let mut out = job.out.lock().expect("writer lock");
-        write_frame(&mut *out, frame).is_ok()
-    };
 
     let Some(scenario) = registry.get(&req.scenario) else {
-        reply(&Frame::Error {
+        job.finish(&Frame::Error {
             request_id: req.request_id.clone(),
             message: format!(
                 "unknown scenario {:?} (available: {})",
@@ -477,7 +517,7 @@ fn run_job(job: &Job, registry: &ScenarioRegistry, config: &ServerConfig) {
 
     let dir = config.checkpoint_root.join(&req.request_id);
     if let Err(e) = std::fs::create_dir_all(&dir) {
-        reply(&Frame::Error {
+        job.finish(&Frame::Error {
             request_id: req.request_id.clone(),
             message: format!("cannot create checkpoint dir: {e}"),
         });
@@ -485,17 +525,16 @@ fn run_job(job: &Job, registry: &ScenarioRegistry, config: &ServerConfig) {
     }
     let checker = request_checker(config, req, &dir);
 
-    let cancel = Arc::clone(&job.cancel);
+    let slot = Arc::clone(&job.slot);
     let every = req.progress_every.max(1);
     let stall_after = config.stall_after;
     let out = Arc::clone(&job.out);
-    let last_progress = Arc::clone(&job.last_progress);
     let request_id = req.request_id.clone();
     let mut writable = true;
     let mut progress = move |depth: usize, stats: &slx_engine::ExploreStats| -> bool {
         // The hook runs right after the level's checkpoint commit, so a
         // cancellation observed here never outruns durable state.
-        if cancel.load(Ordering::SeqCst) {
+        if slot.cancel.load(Ordering::SeqCst) {
             return false;
         }
         if let Some(stall) = stall_after {
@@ -525,7 +564,7 @@ fn run_job(job: &Job, registry: &ScenarioRegistry, config: &ServerConfig) {
             // Published for the connection thread's idle-tick heartbeat
             // before the live send, so even a send that blocks never
             // starves the heartbeat of a fresh frame.
-            *last_progress.lock().expect("progress lock") = Some(snapshot.clone());
+            *slot.last_progress.lock().expect("progress lock") = Some(snapshot.clone());
             let frame = Frame::Progress(snapshot);
             if writable {
                 let mut w = out.lock().expect("writer lock");
@@ -547,8 +586,8 @@ fn run_job(job: &Job, registry: &ScenarioRegistry, config: &ServerConfig) {
     }));
 
     match outcome {
-        Ok(run) if job.cancel.load(Ordering::SeqCst) => {
-            reply(&Frame::Error {
+        Ok(run) if job.slot.cancel.load(Ordering::SeqCst) => {
+            job.finish(&Frame::Error {
                 request_id: req.request_id.clone(),
                 message: format!(
                     "cancelled at a level boundary after {} configs; \
@@ -558,7 +597,7 @@ fn run_job(job: &Job, registry: &ScenarioRegistry, config: &ServerConfig) {
             });
         }
         Ok(run) => {
-            reply(&Frame::Verdict(verdict_frame(req, &run)));
+            job.finish(&Frame::Verdict(verdict_frame(req, &run)));
         }
         Err(panic) => {
             let message = panic
@@ -566,7 +605,7 @@ fn run_job(job: &Job, registry: &ScenarioRegistry, config: &ServerConfig) {
                 .cloned()
                 .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_string()))
                 .unwrap_or_else(|| "worker panicked".to_string());
-            reply(&Frame::Error {
+            job.finish(&Frame::Error {
                 request_id: req.request_id.clone(),
                 message,
             });
@@ -588,5 +627,87 @@ fn verdict_frame(req: &CheckRequest, run: &ScenarioRun) -> VerdictFrame {
         truncated: run.stats.truncated,
         elapsed_micros: u64::try_from(run.stats.elapsed.as_micros()).unwrap_or(u64::MAX),
         resumed_from_depth: run.stats.resumed_from_depth.map(|d| d as u64),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::connect;
+    use crate::net::Addr;
+
+    /// Shuts the queue down when dropped, so a failing assertion stops
+    /// the worker instead of leaving the thread scope waiting on it.
+    struct ShutdownOnDrop<'a>(&'a JobQueue);
+
+    impl Drop for ShutdownOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.initiate_shutdown();
+        }
+    }
+
+    #[test]
+    fn finished_requests_leave_the_connection_and_never_heartbeat_afterwards() {
+        let dir = std::env::temp_dir().join(format!("slx-srv-inflight-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("test dir");
+        let addr = format!("unix:{}", dir.join("s.sock").display());
+        let listener = Listener::bind(&Addr::parse(&addr).expect("addr")).expect("bind");
+
+        let queue = Arc::new(JobQueue::new());
+        let config = ServerConfig::new(dir.join("ckpt"));
+        let registry = ScenarioRegistry::builtin();
+        let inflight = Inflight::default();
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| worker_loop(&queue, &registry, &config));
+            // A 1 ms idle tick: heartbeats fire constantly, so a progress
+            // frame racing a terminal frame would have every chance to.
+            let conn = s.spawn(|| {
+                let stream = listener.accept().expect("accept");
+                serve_connection(stream, &queue, &inflight, Duration::from_millis(1))
+            });
+
+            let shutdown = ShutdownOnDrop(&queue);
+            let mut client = connect(&addr).expect("connect");
+            let mut finished: Vec<String> = Vec::new();
+            for i in 0..40 {
+                let id = format!("seq-{i}");
+                client
+                    .submit(&CheckRequest {
+                        request_id: id.clone(),
+                        scenario: "grid".into(),
+                        depth: 12,
+                        config_budget: None,
+                        mem_budget: None,
+                        progress_every: 1,
+                    })
+                    .expect("submit");
+                loop {
+                    match client.next_event().expect("read").expect("server up") {
+                        Frame::Progress(p) => assert!(
+                            !finished.contains(&p.request_id),
+                            "progress for {} after its terminal frame",
+                            p.request_id
+                        ),
+                        Frame::Verdict(v) if v.request_id == id => break,
+                        other => panic!("unexpected frame {other:?}"),
+                    }
+                }
+                // Retirement precedes the terminal frame, so the entry is
+                // gone by the time the client holds the verdict.
+                assert!(
+                    inflight.lock().expect("inflight lock").is_empty(),
+                    "entries left after {id}"
+                );
+                finished.push(id);
+            }
+            drop(client);
+            conn.join()
+                .expect("connection thread")
+                .expect("clean hangup");
+            drop(shutdown);
+            worker.join().expect("worker thread");
+        });
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
